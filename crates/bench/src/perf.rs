@@ -6,20 +6,26 @@
 //! model) against a prebuilt [`BinnedPointTable`] driven through
 //! [`RasterJoin::execute_store`], plus single-tile and accurate-mode
 //! controls. Bin construction is timed separately because a session builds
-//! bins once and amortizes them over every subsequent frame.
+//! bins once and amortizes them over every subsequent frame. A single-tile
+//! viewport leg (bounded SUM under a time window and a `SpatialBox`, the
+//! shape of one pan step) times the bin-seeded filter mask against the
+//! plain scan.
 //!
 //! Every timed pair is first checked for bit-identical `AggTable`s, so a
 //! silently-wrong fast path can never produce a flattering number.
 
 use crate::{median_ms, time_ms, Table};
-use crate::workload::Workload;
+use crate::workload::{demo_start, Workload};
 use raster_join::{
     BinningMode, CanvasSpec, PointStore, QueryBudget, RasterJoin, RasterJoinConfig,
 };
 use spatial_index::PackedRegionIndex;
 use urban_data::binned::BinnedPointTable;
+use urban_data::filter::Filter;
 use urban_data::gen::regions::voronoi_neighborhoods;
 use urban_data::query::{AggKind, SpatialAggQuery};
+use urban_data::time::TimeRange;
+use urbane_geom::BoundingBox;
 use urbane_store::{ChunkedPointSource, StoreBuilder};
 
 /// Knobs for the perf suite (all settable from the `repro` CLI).
@@ -93,8 +99,8 @@ pub struct PerfReport {
     /// Raster-vs-index race across region-set sizes (exact stored index
     /// join from `urbane-store` vs the bounded raster path).
     pub index_join: Vec<IndexJoinPoint>,
-    /// Smallest region count at which the raster join beat the exact index
-    /// join (`None` when the index join won the whole sweep).
+    /// First region count at which the faster join differs from the one at
+    /// the previous count (`None` when one join won the whole sweep).
     pub index_crossover_regions: Option<usize>,
 }
 
@@ -152,9 +158,13 @@ impl PerfReport {
         }
         s.push_str("  ],\n");
         match self.index_crossover_regions {
-            Some(n) => s.push_str(&format!("  \"index_crossover_regions\": {n}\n")),
-            None => s.push_str("  \"index_crossover_regions\": null\n"),
+            Some(n) => s.push_str(&format!("  \"index_crossover_regions\": {n},\n")),
+            None => s.push_str("  \"index_crossover_regions\": null,\n"),
         }
+        s.push_str(&format!(
+            "  \"index_crossover_note\": \"{}\"\n",
+            crossover_note(&self.index_join, self.index_crossover_regions)
+        ));
         s.push_str("}\n");
         s
     }
@@ -213,22 +223,25 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
     let plain_store = PointStore::plain(&w.taxi);
 
     let mut rows = Vec::new();
-    let mut run_pair = |name: &str, mode, threads: usize| -> (f64, f64) {
-        let off = RasterJoin::new(RasterJoinConfig {
-            threads,
-            ..config(cfg, BinningMode::Off, mode)
-        });
+    let mut run_pair = |name: &str, join_cfg: RasterJoinConfig, q: &SpatialAggQuery| {
+        let threads = join_cfg.threads;
+        let off = RasterJoin::new(join_cfg);
         // Correctness gate: the binned table must be bit-identical to the
         // unbinned one before either side is worth timing.
-        let base = off.execute_store(plain_store, &regions, &q, &budget).expect("unbinned run");
-        let fast = off.execute_store(binned_store, &regions, &q, &budget).expect("binned run");
+        let base = off.execute_store(plain_store, &regions, q, &budget).expect("unbinned run");
+        let fast = off.execute_store(binned_store, &regions, q, &budget).expect("binned run");
         assert_eq!(base.table, fast.table, "{name}: binned result diverged");
+        if base.tiles == 1 {
+            // One tile scans every row on both sides: only the filter mask
+            // differs, so even the pipeline counters must agree.
+            assert_eq!(base.stats, fast.stats, "{name}: binned stats diverged");
+        }
         let tiles = base.tiles;
         let unbinned_ms = median_ms(cfg.reps, || {
-            off.execute_store(plain_store, &regions, &q, &budget).expect("unbinned run");
+            off.execute_store(plain_store, &regions, q, &budget).expect("unbinned run");
         });
         let binned_ms = median_ms(cfg.reps, || {
-            off.execute_store(binned_store, &regions, &q, &budget).expect("binned run");
+            off.execute_store(binned_store, &regions, q, &budget).expect("binned run");
         });
         for (suffix, ms, binned) in
             [("unbinned", unbinned_ms, false), ("binned", binned_ms, true)]
@@ -245,20 +258,26 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
         (unbinned_ms, binned_ms)
     };
 
-    let (head_unbinned, head_binned) = run_pair("bounded_multitile", Bounded, cfg.threads);
-    run_pair("bounded_multitile_serial", Bounded, 1);
-    run_pair("accurate_multitile", Accurate, cfg.threads);
+    let multi = |mode, threads| RasterJoinConfig { threads, ..config(cfg, BinningMode::Off, mode) };
+    let (head_unbinned, head_binned) =
+        run_pair("bounded_multitile", multi(Bounded, cfg.threads), &q);
+    run_pair("bounded_multitile_serial", multi(Bounded, 1), &q);
+    run_pair("accurate_multitile", multi(Accurate, cfg.threads), &q);
+
+    // Viewport leg: one pan step on a single-tile canvas. The tile covers
+    // the whole grid, so per-tile candidates prune nothing; the binned side
+    // wins only through the viewport-seeded filter mask.
+    let single = RasterJoinConfig {
+        max_tile: cfg.resolution.max(cfg.max_tile),
+        threads: 1,
+        ..config(cfg, BinningMode::Off, Bounded)
+    };
+    run_pair("bounded_viewport", single.clone(), &viewport_query(&w));
 
     // Single-tile control: candidates() returns None (viewport covers the
     // bins' bbox), so binned and unbinned must cost the same.
     {
-        let single = RasterJoin::new(RasterJoinConfig {
-            spec: CanvasSpec::Resolution(cfg.resolution),
-            max_tile: cfg.resolution.max(cfg.max_tile),
-            threads: 1,
-            binning: BinningMode::Off,
-            ..Default::default()
-        });
+        let single = RasterJoin::new(single);
         let base = single.execute_store(plain_store, &regions, &q, &budget).expect("single run");
         let fast =
             single.execute_store(binned_store, &regions, &q, &budget).expect("single binned");
@@ -287,6 +306,19 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
         index_join,
         index_crossover_regions,
     }
+}
+
+/// One pan step: SUM(fare) over the first week inside a viewport an eighth
+/// of the city's width and height, centred on the city.
+fn viewport_query(w: &Workload) -> SpatialAggQuery {
+    let city = w.city.bbox();
+    let c = city.center();
+    let (hw, hh) = (city.width() / 16.0, city.height() / 16.0);
+    let start = demo_start();
+    let viewport = BoundingBox::from_coords(c.x - hw, c.y - hh, c.x + hw, c.y + hh);
+    SpatialAggQuery::new(AggKind::Sum("fare".into()))
+        .filter(Filter::Time(TimeRange::new(start, start + 7 * 86_400)))
+        .filter(Filter::SpatialBox(viewport))
 }
 
 /// Raster-vs-index race: serialize the workload into an in-memory `.ubs`
@@ -335,8 +367,32 @@ fn race(
             chunks_pruned: stats.chunks_pruned,
         });
     }
-    let crossover = points.iter().find(|p| p.raster_ms <= p.index_ms).map(|p| p.regions);
+    let crossover = crossover(&points);
     (points, crossover)
+}
+
+/// Does the raster join win (or tie) at this sweep point?
+fn raster_wins(p: &IndexJoinPoint) -> bool {
+    p.raster_ms <= p.index_ms
+}
+
+/// The first region count at which the faster join differs from the one at
+/// the previous count, or `None` when one join wins the whole sweep.
+pub fn crossover(points: &[IndexJoinPoint]) -> Option<usize> {
+    points.windows(2).find(|w| raster_wins(&w[0]) != raster_wins(&w[1])).map(|w| w[1].regions)
+}
+
+/// One line saying who wins where, for the JSON note and the text report.
+pub fn crossover_note(points: &[IndexJoinPoint], crossover: Option<usize>) -> String {
+    let winner = |raster: bool| if raster { "raster" } else { "the exact index join" };
+    match (points.first(), crossover) {
+        (None, _) => "no sweep points".to_string(),
+        (Some(p), None) => format!("{} wins at all sizes", winner(raster_wins(p))),
+        (Some(_), Some(n)) => {
+            let after = points.iter().find(|p| p.regions == n).is_some_and(raster_wins);
+            format!("{} overtakes {} at {n} regions", winner(after), winner(!after))
+        }
+    }
 }
 
 /// Just the raster-vs-index race (the `repro --exp indexjoin` mode):
@@ -359,13 +415,10 @@ pub fn render_race(points: &[IndexJoinPoint], crossover: Option<usize>) -> Strin
             format!("{}", p.chunks_pruned),
         ]);
     }
-    let crossover = match crossover {
-        Some(n) => format!("raster overtakes the exact index join at {n} regions"),
-        None => "the exact index join won at every region count".to_string(),
-    };
     format!(
-        "Raster join (bounded, ε > 0) vs stored index join (exact, ε = 0):\n\n{}\n{crossover}\n",
-        t.render()
+        "Raster join (bounded, ε > 0) vs stored index join (exact, ε = 0):\n\n{}\n{}\n",
+        t.render(),
+        crossover_note(points, crossover)
     )
 }
 
@@ -405,5 +458,49 @@ mod tests {
         assert_eq!(report.index_join.len(), 4);
         assert!(report.render().contains("speedup"));
         assert!(report.render().contains("index join"));
+        for leg in ["bounded_viewport_unbinned", "bounded_viewport_binned"] {
+            assert!(report.rows.iter().any(|r| r.name == leg), "missing {leg}");
+        }
+        assert!(json.contains("\"index_crossover_note\""));
+    }
+
+    fn sweep(times: &[(f64, f64)]) -> Vec<IndexJoinPoint> {
+        [8usize, 32, 128, 512]
+            .iter()
+            .zip(times)
+            .map(|(&regions, &(raster_ms, index_ms))| IndexJoinPoint {
+                regions,
+                raster_ms,
+                index_ms,
+                chunks_scanned: 0,
+                chunks_pruned: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_winner_throughout_is_no_crossover() {
+        let points = sweep(&[(218.6, 776.7), (451.5, 487.2), (240.3, 797.3), (292.7, 1872.9)]);
+        assert_eq!(crossover(&points), None);
+        assert_eq!(crossover_note(&points, None), "raster wins at all sizes");
+        let points = sweep(&[(9.0, 1.0), (9.0, 2.0), (9.0, 3.0), (9.0, 4.0)]);
+        assert_eq!(crossover(&points), None);
+        assert_eq!(crossover_note(&points, None), "the exact index join wins at all sizes");
+    }
+
+    #[test]
+    fn crossover_is_where_the_winner_flips() {
+        let points = sweep(&[(5.0, 1.0), (5.0, 2.0), (5.0, 6.0), (5.0, 9.0)]);
+        assert_eq!(crossover(&points), Some(128));
+        assert_eq!(
+            crossover_note(&points, Some(128)),
+            "raster overtakes the exact index join at 128 regions"
+        );
+        let points = sweep(&[(1.0, 5.0), (6.0, 5.0), (7.0, 5.0), (8.0, 5.0)]);
+        assert_eq!(crossover(&points), Some(32));
+        assert_eq!(
+            crossover_note(&points, Some(32)),
+            "the exact index join overtakes raster at 32 regions"
+        );
     }
 }

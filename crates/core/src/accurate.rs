@@ -159,7 +159,7 @@ mod tests {
     ) -> Result<(AggTable, gpu_raster::RenderStats)> {
         let budget = QueryBudget::unlimited();
         let store = PointStore::plain(points);
-        let cq = CompiledQuery::new(points, query, &budget)?;
+        let cq = CompiledQuery::new(&store, query, &budget)?;
         super::accurate_tile(viewport, &store, regions, &cq, path, &budget)
     }
 

@@ -529,7 +529,7 @@ pub(crate) fn batch_weighted_tile(
 /// Validate a batch and compile its members. Shared by the one-shot and
 /// prepared batch entry points.
 pub(crate) fn compile_batch(
-    table: &PointTable,
+    store: &PointStore<'_>,
     queries: &[SpatialAggQuery],
     budget: &QueryBudget,
 ) -> Result<Vec<CompiledQuery>> {
@@ -542,7 +542,7 @@ pub(crate) fn compile_batch(
             queries.len()
         )));
     }
-    queries.iter().map(|q| CompiledQuery::new(table, q, budget)).collect()
+    queries.iter().map(|q| CompiledQuery::new(store, q, budget)).collect()
 }
 
 impl RasterJoin {
@@ -590,7 +590,7 @@ impl RasterJoin {
             ));
         }
         let plan = CanvasPlan::plan(&regions.bbox(), config.spec, config.max_tile)?;
-        let cqs = compile_batch(store.table(), queries, budget)?;
+        let cqs = compile_batch(&store, queries, budget)?;
         let store = &store;
         let cqs = &cqs[..];
 
@@ -862,7 +862,8 @@ mod tests {
             }
             (out.unwrap(), best)
         }
-        let (_, ms) = min_ms(5, || CompiledQuery::new(&points, &queries[0], &budget).unwrap());
+        let store = PointStore::plain(&points);
+        let (_, ms) = min_ms(5, || CompiledQuery::new(&store, &queries[0], &budget).unwrap());
         println!("compile one: {ms:.2}ms");
         let (solo, ms) = min_ms(5, || rj.execute(&points, &regions, &queries[0]).unwrap());
         println!("solo execute: {ms:.2}ms count {}", solo.table.total_count());
@@ -870,8 +871,7 @@ mod tests {
         println!("batch of 8: {ms:.2}ms count {}", batch.tables[7].total_count());
         let (_, ms) = min_ms(5, || rj.execute_batch(&points, &regions, &queries[..1]).unwrap());
         println!("batch of 1: {ms:.2}ms");
-        let store = PointStore::plain(&points);
-        let (cqs, ms) = min_ms(5, || compile_batch(&points, &queries, &budget).unwrap());
+        let (cqs, ms) = min_ms(5, || compile_batch(&store, &queries, &budget).unwrap());
         println!("compile 8: {ms:.2}ms");
         let vp = CanvasPlan::plan(&regions.bbox(), CanvasSpec::Resolution(512), 4096)
             .unwrap()

@@ -212,7 +212,7 @@ mod tests {
     ) -> Result<(AggTable, gpu_raster::RenderStats)> {
         let budget = QueryBudget::unlimited();
         let store = PointStore::plain(points);
-        let cq = CompiledQuery::new(points, query, &budget)?;
+        let cq = CompiledQuery::new(&store, query, &budget)?;
         super::bounded_tile(viewport, &store, regions, &cq, path, &budget)
     }
 

@@ -320,7 +320,7 @@ impl RasterJoin {
         // Compile once per query: the filter set collapses to a shared
         // bitmask and the value column is resolved up front, so every tile
         // on every worker probes bits instead of re-running the conjunction.
-        let cq = CompiledQuery::new(store.table(), query, budget)?;
+        let cq = CompiledQuery::new(&store, query, budget)?;
         let store = &store;
         let cq = &cq;
 

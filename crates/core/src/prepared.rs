@@ -167,7 +167,7 @@ impl PreparedRasterJoin {
         budget: &QueryBudget,
     ) -> Result<RasterJoinResult> {
         let points = store.table();
-        let cq = CompiledQuery::new(points, query, budget)?;
+        let cq = CompiledQuery::new(&store, query, budget)?;
         let mut table = AggTable::new(cq.agg.clone(), self.n_regions);
         let mut stats = RenderStats::new();
 
@@ -249,7 +249,7 @@ impl PreparedRasterJoin {
         budget: &QueryBudget,
     ) -> Result<crate::batch::BatchResult> {
         let points = store.table();
-        let cqs = crate::batch::compile_batch(points, queries, budget)?;
+        let cqs = crate::batch::compile_batch(&store, queries, budget)?;
         let mut tables: Vec<AggTable> =
             cqs.iter().map(|cq| AggTable::new(cq.agg.clone(), self.n_regions)).collect();
         let mut stats = RenderStats::new();

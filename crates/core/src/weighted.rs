@@ -116,7 +116,7 @@ mod tests {
     ) -> Result<(AggTable, gpu_raster::RenderStats)> {
         let budget = QueryBudget::unlimited();
         let store = PointStore::plain(points);
-        let cq = CompiledQuery::new(points, query, &budget)?;
+        let cq = CompiledQuery::new(&store, query, &budget)?;
         super::weighted_tile(viewport, &store, regions, &cq, path, &budget)
     }
 
@@ -160,7 +160,7 @@ mod tests {
             weighted_tile(&vp, &points, &regions, &q, PolygonPath::Scanline).unwrap();
         let budget = QueryBudget::unlimited();
         let store = PointStore::plain(&points);
-        let cq = CompiledQuery::new(&points, &q, &budget).unwrap();
+        let cq = CompiledQuery::new(&store, &q, &budget).unwrap();
         let (bounded, _) = crate::bounded::bounded_tile(
             &vp,
             &store,

@@ -30,6 +30,10 @@ const TARGET_POINTS_PER_CELL: usize = 1024;
 /// arrays to a few MB no matter how large the table grows.
 const MAX_AUTO_GRID_SIDE: u32 = 256;
 
+/// Rows [`BinnedPointTable::mark_rows_meeting`] marks between two polls of
+/// its caller's budget.
+const MARK_POLL_ROWS: usize = 1 << 16;
+
 /// A uniform-grid CSR index over a point table's rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedPointTable {
@@ -168,11 +172,19 @@ impl BinnedPointTable {
     /// into the edge cells, so every row lands somewhere.
     #[inline]
     fn cell_of(&self, p: Point) -> usize {
-        let cx = (((p.x - self.bbox.min.x) / self.cell_w).floor() as i64)
-            .clamp(0, self.gx as i64 - 1) as usize;
-        let cy = (((p.y - self.bbox.min.y) / self.cell_h).floor() as i64)
-            .clamp(0, self.gy as i64 - 1) as usize;
-        cy * self.gx as usize + cx
+        self.row_of(p.y) as usize * self.gx as usize + self.col_of(p.x) as usize
+    }
+
+    /// The grid column holding world x-coordinate `x` (clamped to the grid).
+    #[inline]
+    fn col_of(&self, x: f64) -> u32 {
+        (((x - self.bbox.min.x) / self.cell_w).floor() as i64).clamp(0, self.gx as i64 - 1) as u32
+    }
+
+    /// The grid row holding world y-coordinate `y` (clamped to the grid).
+    #[inline]
+    fn row_of(&self, y: f64) -> u32 {
+        (((y - self.bbox.min.y) / self.cell_h).floor() as i64).clamp(0, self.gy as i64 - 1) as u32
     }
 
     /// Rows indexed.
@@ -216,28 +228,59 @@ impl BinnedPointTable {
     /// matches). Appended order is cell-major, *not* globally ascending —
     /// callers needing index order sort afterwards.
     pub fn candidates_into(&self, query: &BoundingBox, out: &mut Vec<u32>) {
-        if query.is_empty() || !query.intersects(&self.bbox) {
-            return;
+        // lint: allow(cancel-poll-reachability) one slice copy per cell into a tile's candidate list; the tile kernels poll the budget per chunk while they walk that list
+        for rows in self.cells_meeting(query) {
+            out.extend_from_slice(rows);
         }
-        let cx0 = (((query.min.x - self.bbox.min.x) / self.cell_w).floor() as i64)
-            .clamp(0, self.gx as i64 - 1) as u32;
-        let cx1 = (((query.max.x - self.bbox.min.x) / self.cell_w).floor() as i64)
-            .clamp(0, self.gx as i64 - 1) as u32;
-        let cy0 = (((query.min.y - self.bbox.min.y) / self.cell_h).floor() as i64)
-            .clamp(0, self.gy as i64 - 1) as u32;
-        let cy1 = (((query.max.y - self.bbox.min.y) / self.cell_h).floor() as i64)
-            .clamp(0, self.gy as i64 - 1) as u32;
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = cy as usize * self.gx as usize + cx as usize;
-                let lo = self.offsets[c] as usize;
-                let hi = self.offsets[c + 1] as usize;
-                if lo == hi || !self.cell_bounds[c].intersects(query) {
-                    continue;
-                }
-                out.extend_from_slice(&self.permutation[lo..hi]);
+    }
+
+    /// Set the bit of every row in a cell whose tight bounds meet `query`,
+    /// in a caller's row mask (row `i` is bit `i % 64` of `bits[i / 64]`).
+    /// The cells are exactly those [`candidates_into`](Self::candidates_into)
+    /// walks, so the marked rows are a superset of the rows inside `query`;
+    /// bits already set stay set. An empty or disjoint `query` marks nothing.
+    ///
+    /// `poll` runs before the first row and again after every
+    /// `MARK_POLL_ROWS` marked rows; its first error stops the walk and is
+    /// returned (the mask is then partial).
+    ///
+    /// # Panics
+    /// Panics when `bits` holds fewer than `len().div_ceil(64)` words.
+    pub fn mark_rows_meeting<E>(
+        &self,
+        query: &BoundingBox,
+        bits: &mut [u64],
+        mut poll: impl FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        assert!(bits.len() >= self.n_points.div_ceil(64), "row mask too short");
+        let mut rows = self.cells_meeting(query).flatten();
+        loop {
+            poll()?;
+            let mut marked = 0;
+            // lint: allow(cancel-poll-reachability) at most MARK_POLL_ROWS rows per batch; the enclosing loop polls through the caller's closure before each batch
+            for &i in rows.by_ref().take(MARK_POLL_ROWS) {
+                bits[i as usize >> 6] |= 1u64 << (i & 63);
+                marked += 1;
+            }
+            if marked < MARK_POLL_ROWS {
+                return Ok(());
             }
         }
+    }
+
+    /// The row slices of the non-empty cells whose tight bounds meet
+    /// `query`, cell-major. Query edges map to cells through the same
+    /// monotone floor-and-clamp as each row did at build time, so a point
+    /// inside `query` always lies in a walked cell.
+    fn cells_meeting<'s>(&'s self, query: &'s BoundingBox) -> impl Iterator<Item = &'s [u32]> + 's {
+        let live = !query.is_empty() && query.intersects(&self.bbox);
+        let (cx0, cx1) = (self.col_of(query.min.x), self.col_of(query.max.x));
+        let (cy0, cy1) = (self.row_of(query.min.y), self.row_of(query.max.y));
+        let gx = self.gx as usize;
+        let cys = if live { cy0..cy1 + 1 } else { 0..0 };
+        cys.flat_map(move |cy| (cx0..=cx1).map(move |cx| cy as usize * gx + cx as usize))
+            .filter(move |&c| self.cell_bounds[c].intersects(query))
+            .map(move |c| &self.permutation[self.offsets[c] as usize..self.offsets[c + 1] as usize])
     }
 
     /// True when `query` covers the whole grid — a consumer gains nothing
@@ -315,6 +358,48 @@ mod tests {
         }
         // And pruning actually happened on a quarter-ish window.
         assert!(cand.len() < t.len(), "window candidates must prune");
+    }
+
+    #[test]
+    fn marked_rows_are_the_candidates() {
+        let t = table(5_000);
+        let b = BinnedPointTable::build(&t);
+        for window in [
+            BoundingBox::from_coords(20.0, 30.0, 45.0, 55.0),
+            BoundingBox::from_coords(0.0, 0.0, 100.0, 100.0),
+            BoundingBox::from_coords(500.0, 500.0, 600.0, 600.0),
+            BoundingBox::empty(),
+        ] {
+            let mut cand = Vec::new();
+            b.candidates_into(&window, &mut cand);
+            let mut bits = vec![0u64; t.len().div_ceil(64)];
+            b.mark_rows_meeting(&window, &mut bits, || Ok::<(), ()>(())).unwrap();
+            let mut marked: Vec<u32> = (0..t.len() as u32)
+                .filter(|&i| bits[i as usize >> 6] >> (i & 63) & 1 == 1)
+                .collect();
+            cand.sort_unstable();
+            marked.sort_unstable();
+            assert_eq!(marked, cand, "{window:?}");
+        }
+    }
+
+    #[test]
+    fn marking_stops_at_the_first_poll_error() {
+        let t = table(300_000);
+        let b = BinnedPointTable::build(&t);
+        let mut bits = vec![0u64; t.len().div_ceil(64)];
+        let mut polls = 0;
+        let r = b.mark_rows_meeting(&t.bbox(), &mut bits, || {
+            polls += 1;
+            if polls == 2 {
+                Err("cancelled")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(r, Err("cancelled"));
+        let marked: u32 = bits.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(marked as usize, MARK_POLL_ROWS);
     }
 
     #[test]

@@ -44,6 +44,23 @@ impl Filter {
     }
 }
 
+/// The window a filter conjunction pins down: the intersection of its
+/// `SpatialBox` terms (`None` when there are none — the whole world). Both
+/// the terms and the intersection are closed boxes, so a point lies in the
+/// window exactly when it passes every `SpatialBox` term.
+pub fn spatial_window(filters: &[Filter]) -> Option<BoundingBox> {
+    let mut window: Option<BoundingBox> = None;
+    for f in filters {
+        if let Filter::SpatialBox(b) = f {
+            window = Some(match window {
+                Some(w) => w.intersection(b),
+                None => *b,
+            });
+        }
+    }
+    window
+}
+
 /// A conjunction of filters, compiled against a table's schema for fast
 /// row-at-a-time evaluation.
 #[derive(Debug, Clone, Default)]

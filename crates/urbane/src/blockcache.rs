@@ -54,7 +54,7 @@ use crate::session::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use urban_data::filter::Filter;
+use urban_data::filter::{spatial_window, Filter};
 use urban_data::query::AggState;
 use urban_data::{RegionId, RegionSet};
 use urbane_geom::BoundingBox;
@@ -82,14 +82,13 @@ pub fn block_span(block: u32, n_regions: usize) -> std::ops::Range<RegionId> {
     start..end.max(start)
 }
 
-/// One cached block: the member regions' partial aggregates plus the
-/// certified ε bound of the pass that produced them.
+/// One cached block: the member regions' partial aggregates. Its ε is the
+/// canvas plan's, fixed by the block key (level, mode, resolution), so the
+/// entry does not carry one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockEntry {
     /// Per-member states; index = `region_id - block_span(block).start`.
     pub states: Vec<AggState>,
-    /// Certified positional error bound of the producing pass.
-    pub epsilon: f64,
 }
 
 impl BlockEntry {
@@ -113,21 +112,6 @@ pub struct BlockPlan {
     pub outer: Vec<RegionId>,
     /// Blocks covering `inner`, sorted and deduplicated.
     pub blocks: Vec<u32>,
-}
-
-/// The viewport a filter conjunction pins down: the intersection of its
-/// `SpatialBox` terms (`None` when there are none — the whole world).
-pub fn viewport_of(filters: &[Filter]) -> Option<BoundingBox> {
-    let mut vp: Option<BoundingBox> = None;
-    for f in filters {
-        if let Filter::SpatialBox(b) = f {
-            vp = Some(match vp {
-                Some(v) => v.intersection(b),
-                None => *b,
-            });
-        }
-    }
-    vp
 }
 
 /// The filter conjunction with every `SpatialBox` term removed — the
@@ -154,7 +138,7 @@ pub fn assignment_margin(extent: &BoundingBox, resolution: u32) -> f64 {
 /// [`assignment_margin`]); with no `SpatialBox` filter every region is
 /// inner.
 pub fn plan(regions: &RegionSet, filters: &[Filter], margin: f64) -> BlockPlan {
-    let viewport = viewport_of(filters);
+    let viewport = spatial_window(filters);
     let mut out = BlockPlan::default();
     for (id, _, geom) in regions.iter() {
         match &viewport {
@@ -354,8 +338,8 @@ mod tests {
     use urban_data::time::TimeRange;
     use urbane_geom::Polygon;
 
-    fn entry(n: usize, eps: f64) -> BlockEntry {
-        BlockEntry { states: vec![AggState::default(); n], epsilon: eps }
+    fn entry(n: usize) -> BlockEntry {
+        BlockEntry { states: vec![AggState::default(); n] }
     }
 
     #[test]
@@ -372,16 +356,19 @@ mod tests {
 
     #[test]
     fn viewport_is_the_intersection_of_spatial_terms() {
-        assert_eq!(viewport_of(&[]), None);
+        assert_eq!(spatial_window(&[]), None);
         let a = BoundingBox::from_coords(0.0, 0.0, 10.0, 10.0);
         let b = BoundingBox::from_coords(5.0, 5.0, 20.0, 20.0);
-        let vp = viewport_of(&[
+        let vp = spatial_window(&[
             Filter::SpatialBox(a),
             Filter::Time(TimeRange::new(0, 10)),
             Filter::SpatialBox(b),
         ])
         .unwrap();
         assert_eq!(vp, BoundingBox::from_coords(5.0, 5.0, 10.0, 10.0));
+        let far = BoundingBox::from_coords(50.0, 50.0, 60.0, 60.0);
+        let disjoint = spatial_window(&[Filter::SpatialBox(a), Filter::SpatialBox(far)]);
+        assert!(disjoint.is_some_and(|w| w.is_empty()));
         let stripped = strip_spatial(&[Filter::SpatialBox(a), Filter::Time(TimeRange::new(0, 10))]);
         assert_eq!(stripped.len(), 1);
         assert!(matches!(stripped[0], Filter::Time(_)));
@@ -444,10 +431,9 @@ mod tests {
     fn get_insert_and_canonical_guard() {
         let c = BlockCache::new(1 << 16);
         assert!(c.get("k1").is_none());
-        c.insert("k1".into(), entry(4, 0.5));
+        c.insert("k1".into(), entry(4));
         let hit = c.get("k1").unwrap();
         assert_eq!(hit.states.len(), 4);
-        assert_eq!(hit.epsilon, 0.5);
         assert!(c.get("k2").is_none());
         let st = c.stats();
         assert_eq!(st.hits, 1);
@@ -459,14 +445,14 @@ mod tests {
     fn zero_budget_disables() {
         let c = BlockCache::new(0);
         assert!(!c.enabled());
-        c.insert("k".into(), entry(1, 0.1));
+        c.insert("k".into(), entry(1));
         assert!(c.get("k").is_none());
         assert_eq!(c.stats().entries, 0);
     }
 
     #[test]
     fn byte_budget_evicts_the_coldest() {
-        let unit = entry(BLOCK_REGIONS as usize, 0.1);
+        let unit = entry(BLOCK_REGIONS as usize);
         let unit_cost = unit.cost(2);
         let c = BlockCache::new(unit_cost * 2 + unit_cost / 2); // fits two
         c.insert("k1".into(), unit.clone());
@@ -481,16 +467,16 @@ mod tests {
         assert_eq!(st.entries, 2);
         assert!(st.bytes as usize <= unit_cost * 2 + unit_cost / 2);
         // An entry larger than the entire budget is refused outright.
-        c.insert("huge".into(), entry(10_000, 0.1));
+        c.insert("huge".into(), entry(10_000));
         assert!(c.get("huge").is_none());
     }
 
     #[test]
     fn replacement_rebalances_bytes() {
         let c = BlockCache::new(1 << 16);
-        c.insert("k".into(), entry(64, 0.1));
+        c.insert("k".into(), entry(64));
         let big = c.stats().bytes;
-        c.insert("k".into(), entry(4, 0.1));
+        c.insert("k".into(), entry(4));
         let small = c.stats().bytes;
         assert!(small < big);
         assert_eq!(c.stats().entries, 1);
@@ -499,15 +485,15 @@ mod tests {
     #[test]
     fn purge_by_prefix_frees_bytes() {
         let c = BlockCache::new(1 << 16);
-        c.insert("taxi|0|a".into(), entry(4, 0.1));
-        c.insert("taxi|0|b".into(), entry(4, 0.1));
-        c.insert("crime|0|a".into(), entry(4, 0.1));
+        c.insert("taxi|0|a".into(), entry(4));
+        c.insert("taxi|0|b".into(), entry(4));
+        c.insert("crime|0|a".into(), entry(4));
         c.purge("taxi|");
         assert!(c.get("taxi|0|a").is_none());
         assert!(c.get("crime|0|a").is_some());
         let st = c.stats();
         assert_eq!(st.entries, 1);
-        assert_eq!(st.bytes, entry(4, 0.1).cost("crime|0|a".len()) as u64);
+        assert_eq!(st.bytes, entry(4).cost("crime|0|a".len()) as u64);
     }
 
     #[test]

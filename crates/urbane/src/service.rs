@@ -33,8 +33,8 @@ use crate::resolution::ResolutionPyramid;
 use crate::session::{lock, CacheStats};
 use crate::{Result, UrbaneError};
 use raster_join::{
-    BinningMode, CancelHandle, CanvasSpec, ExecutionMode, PointStore, QueryBudget, RasterJoin,
-    RasterJoinConfig,
+    BinningMode, CancelHandle, CanvasPlan, CanvasSpec, ExecutionMode, PointStore, QueryBudget,
+    RasterJoin, RasterJoinConfig,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -643,6 +643,13 @@ impl UrbaneService {
         }
     }
 
+    /// The positional ε of the canvas plan a raster pass for `req` runs on
+    /// — what a direct pass reports, and so what a composed answer reports.
+    fn plan_epsilon(&self, req: &QueryRequest, regions: &RegionSet) -> Result<f64> {
+        let config = self.join_config(req);
+        Ok(CanvasPlan::plan(&regions.bbox(), config.spec, config.max_tile)?.epsilon)
+    }
+
     /// The dataset's spatial bins for `generation`, built once per
     /// generation and shared. Mirrors the session's policy (binning mode,
     /// auto threshold).
@@ -746,11 +753,10 @@ impl UrbaneService {
                         table.states[r as usize] = e.states[(r - span.start) as usize];
                     }
                 }
-                // Composed certified bound: the sum of the component
-                // blocks' bounds (conservative, but closed under further
-                // composition).
-                let bound: f64 =
-                    plan.blocks.iter().filter_map(|b| block_entries.get(b)).map(|e| e.epsilon).sum();
+                // Every block was computed on this request's canvas plan,
+                // and the composed table is bit-identical to a direct pass:
+                // it carries the plan's positional ε, not a sum over blocks.
+                let bound = self.plan_epsilon(req, &regions)?;
                 OutcomeCounters::bump(&self.outcomes.cached);
                 return Ok(QueryAnswer {
                     table: Arc::new(table),
@@ -947,7 +953,6 @@ impl UrbaneService {
                         let entry = BlockEntry {
                             states: res.table.states[span.start as usize..span.end as usize]
                                 .to_vec(),
-                            epsilon: res.epsilon,
                         };
                         // lint: bounded-by block_cache_bytes (BlockStore::insert runs a byte-budgeted LRU that evicts past the budget)
                         self.blocks.insert(format!("{base}#b{b}"), entry.clone());
@@ -975,19 +980,13 @@ impl UrbaneService {
                         table.states[r as usize] = e.states[(r - span.start) as usize];
                     }
                 }
-                // Composed certified bound: sum of component-block bounds
-                // plus the band pass's bound.
-                let mut bound: f64 = plan
-                    .blocks
-                    .iter()
-                    .filter_map(|b| block_entries.get(b))
-                    .map(|e| e.epsilon)
-                    .sum();
+                // Blocks and band share one canvas plan, so the composed
+                // table carries that plan's positional ε.
+                let bound = self.plan_epsilon(req, &regions)?;
                 if let Some(band_res) = &band {
                     for &r in &plan.band {
                         table.states[r as usize] = band_res.table.states[r as usize];
                     }
-                    bound += band_res.epsilon;
                 }
                 Ok((Arc::new(table), bound, missing.len()))
             })();

@@ -219,9 +219,9 @@ proptest! {
                 "accurate-mode composition must be bit-identical"
             );
         }
-        // The composed certified bound must cover the observed deviation
-        // (it is a conservative Σ of per-block bounds, so ≥ the direct
-        // run's bound as well).
+        // The composed certified bound must cover the observed deviation.
+        // Blocks and band share the direct run's canvas plan, so it is
+        // exactly the direct run's bound.
         let bound = a.report.error_bound.unwrap_or(0.0);
         let tol = bound.max(1e-9);
         for (x, y) in a.table.values().iter().zip(b.table.values()) {
@@ -235,10 +235,7 @@ proptest! {
             }
         }
         if let (Some(ca), Some(cb)) = (a.report.error_bound, b.report.error_bound) {
-            prop_assert!(
-                ca >= cb - 1e-12,
-                "composed bound {} must dominate direct bound {}", ca, cb
-            );
+            prop_assert!(ca == cb, "composed bound {} must equal direct bound {}", ca, cb);
         }
     }
 
